@@ -73,7 +73,16 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// No container decodes to more than this many bytes per payload byte
+/// (an LZ match token of a few bytes expands to at most 258). Decoders
+/// cap what they reserve by it, never by a declared length alone.
+pub const MAX_EXPANSION: usize = LZ_MAX_MATCH;
+
 /// Compress `data` with `codec` into a self-describing container.
+///
+/// # Panics
+///
+/// With [`Codec::Lz`], if `data` is 4 GiB or longer.
 pub fn compress(codec: Codec, data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     out.push(codec.id());
@@ -130,7 +139,7 @@ fn rle_decompress(payload: &[u8], cap: usize) -> Result<Vec<u8>, CodecError> {
     if !payload.len().is_multiple_of(2) {
         return Err(CodecError::Corrupt("odd RLE payload"));
     }
-    let mut out = Vec::with_capacity(cap);
+    let mut out = Vec::with_capacity(cap.min(payload.len() / 2 * 255));
     for pair in payload.chunks_exact(2) {
         let (run, b) = (pair[0] as usize, pair[1]);
         if run == 0 {
@@ -157,79 +166,120 @@ fn lz_hash(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Empty slot in the hash-chain tables.
+const NIL: u32 = u32::MAX;
+
 /// Token stream: `0x00` literal-run (varint len, bytes); `0x01` match
 /// (varint len, varint dist).
+///
+/// Greedy parse over hash chains: at each position the chain of earlier
+/// positions with the same hash is probed newest first, at most 32 deep
+/// and no further back than the window, and the first longest match wins.
+/// `prev` is a ring over the window rather than one slot per input byte:
+/// a chain is followed only while `i - cand <= LZ_WINDOW`, and position
+/// `cand + LZ_WINDOW`, the next to reuse `cand`'s slot, is inserted only
+/// after the search at `i` ends, so every slot read still holds the link
+/// written for `cand`.
+///
+/// # Panics
+///
+/// If `data` is 4 GiB or longer (positions are stored as `u32`).
 fn lz_compress(data: &[u8], out: &mut Vec<u8>) {
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len()];
+    assert!(data.len() < NIL as usize, "LZ input must be under 4 GiB");
+    let mut head = vec![NIL; 1 << HASH_BITS];
+    let mut prev = vec![NIL; LZ_WINDOW];
+    let link = |head: &mut [u32], prev: &mut [u32], pos: usize| {
+        let h = lz_hash(data, pos);
+        prev[pos & (LZ_WINDOW - 1)] = head[h];
+        head[h] = pos as u32;
+    };
     let mut lit_start = 0usize;
     let mut i = 0usize;
 
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, data: &[u8]| {
-        if to > from {
-            out.push(0x00);
-            put_varint(out, (to - from) as u64);
-            out.extend_from_slice(&data[from..to]);
-        }
-    };
-
-    while i < data.len() {
-        if i + LZ_MIN_MATCH <= data.len() {
-            let h = lz_hash(data, i);
-            // Search the hash chain for the longest match in the window.
-            let mut cand = head[h];
-            let mut best_len = 0usize;
-            let mut best_dist = 0usize;
-            let mut probes = 0;
-            while cand != usize::MAX && i - cand <= LZ_WINDOW && probes < 32 {
-                let max = (data.len() - i).min(LZ_MAX_MATCH);
-                let mut l = 0usize;
-                while l < max && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
+    while i + LZ_MIN_MATCH <= data.len() {
+        let max = (data.len() - i).min(LZ_MAX_MATCH);
+        let mut cand = head[lz_hash(data, i)];
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        let mut probes = 0;
+        while cand != NIL && i - cand as usize <= LZ_WINDOW && probes < 32 {
+            let c = cand as usize;
+            // A candidate can only win if it also matches at `best_len`.
+            if data[c + best_len] == data[i + best_len] {
+                let l = match_len(data, c, i, max);
                 if l > best_len {
                     best_len = l;
-                    best_dist = i - cand;
+                    best_dist = i - c;
+                    if l == max {
+                        break;
+                    }
                 }
-                cand = prev[cand];
-                probes += 1;
             }
-            // Insert current position into the chain.
-            prev[i] = head[h];
-            head[h] = i;
-
-            if best_len >= LZ_MIN_MATCH {
-                flush_literals(out, lit_start, i, data);
-                out.push(0x01);
-                put_varint(out, best_len as u64);
-                put_varint(out, best_dist as u64);
-                // Index the skipped positions too (cheap, improves ratio).
-                let end = (i + best_len).min(data.len().saturating_sub(LZ_MIN_MATCH - 1));
-                #[allow(clippy::needless_range_loop)] // j indexes head and prev together
-                for j in i + 1..end {
-                    let h = lz_hash(data, j);
-                    prev[j] = head[h];
-                    head[h] = j;
-                }
-                i += best_len;
-                lit_start = i;
-                continue;
-            }
+            cand = prev[c & (LZ_WINDOW - 1)];
+            probes += 1;
         }
-        i += 1;
+        link(&mut head, &mut prev, i);
+
+        if best_len >= LZ_MIN_MATCH {
+            if i > lit_start {
+                put_literals(out, &data[lit_start..i]);
+            }
+            out.push(0x01);
+            put_varint(out, best_len as u64);
+            put_varint(out, best_dist as u64);
+            // Index the skipped positions too (cheap, improves ratio).
+            let end = (i + best_len).min(data.len() - (LZ_MIN_MATCH - 1));
+            for j in i + 1..end {
+                link(&mut head, &mut prev, j);
+            }
+            i += best_len;
+            lit_start = i;
+        } else {
+            i += 1;
+        }
     }
-    flush_literals(out, lit_start, data.len(), data);
+    if data.len() > lit_start {
+        put_literals(out, &data[lit_start..]);
+    }
+}
+
+fn put_literals(out: &mut Vec<u8>, lits: &[u8]) {
+    out.push(0x00);
+    put_varint(out, lits.len() as u64);
+    out.extend_from_slice(lits);
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max`; `b + max <= data.len()` and `a < b`. Compares eight bytes at a
+/// time.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let (x, y) = (&data[a..a + max], &data[b..b + max]);
+    let mut l = 0;
+    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(wx.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(wy.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + x[l..]
+        .iter()
+        .zip(&y[l..])
+        .take_while(|(p, q)| p == q)
+        .count()
 }
 
 fn lz_decompress(payload: &[u8], cap: usize) -> Result<Vec<u8>, CodecError> {
     let mut r = Reader::new(payload);
-    let mut out = Vec::with_capacity(cap);
+    let mut out = Vec::with_capacity(cap.min(payload.len().saturating_mul(MAX_EXPANSION)));
     while !r.is_empty() {
         match r.u8()? {
             0x00 => {
                 let len = r.varint()? as usize;
                 let bytes = r.take(len).map_err(CodecError::from)?;
-                if out.len() + len > cap {
+                if len > cap - out.len() {
                     return Err(CodecError::Corrupt("literal overrun"));
                 }
                 out.extend_from_slice(bytes);
@@ -240,15 +290,18 @@ fn lz_decompress(payload: &[u8], cap: usize) -> Result<Vec<u8>, CodecError> {
                 if dist == 0 || dist > out.len() {
                     return Err(CodecError::Corrupt("match distance out of range"));
                 }
-                if out.len() + len > cap {
+                if len > cap - out.len() {
                     return Err(CodecError::Corrupt("match overrun"));
                 }
-                // Overlapping copies are the point of LZ77 (e.g. dist=1
-                // replicates the last byte), so copy byte-by-byte.
+                // An overlapping match (dist < len) repeats the last
+                // `dist` bytes: copy the span, then twice the span, and so
+                // on, each copy reading only bytes already written.
                 let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let n = left.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    left -= n;
                 }
             }
             t => {
@@ -261,17 +314,6 @@ fn lz_decompress(payload: &[u8], cap: usize) -> Result<Vec<u8>, CodecError> {
         }
     }
     Ok(out)
-}
-
-/// Pick a codec automatically: try LZ, fall back to Store when the payload
-/// is incompressible (compressed would be larger).
-pub fn compress_auto(data: &[u8]) -> Vec<u8> {
-    let lz = compress(Codec::Lz, data);
-    if lz.len() < data.len() + 10 {
-        lz
-    } else {
-        compress(Codec::Store, data)
-    }
 }
 
 #[cfg(test)]
@@ -352,6 +394,56 @@ mod tests {
         let _ = decompress(&c);
     }
 
+    // Well-formed containers whose header declares 2^62 bytes: the
+    // decoders must not reserve the declared length up front.
+
+    #[test]
+    fn rle_hostile_declared_length_is_an_error() {
+        let mut rle = vec![Codec::Rle.id()];
+        put_varint(&mut rle, 1 << 62);
+        rle.extend_from_slice(&[3, b'x']);
+        assert_eq!(
+            decompress(&rle),
+            Err(CodecError::Corrupt("length mismatch"))
+        );
+    }
+
+    #[test]
+    fn lz_hostile_declared_length_is_an_error() {
+        let mut lz = vec![Codec::Lz.id()];
+        put_varint(&mut lz, 1 << 62);
+        lz.extend_from_slice(&[0x00, 3, b'a', b'b', b'c']);
+        assert_eq!(decompress(&lz), Err(CodecError::Corrupt("length mismatch")));
+
+        // A match token whose length would wrap `out.len() + len`.
+        let mut lz = vec![Codec::Lz.id()];
+        put_varint(&mut lz, 8);
+        lz.extend_from_slice(&[0x00, 1, b'a', 0x01]);
+        put_varint(&mut lz, u64::MAX);
+        put_varint(&mut lz, 1);
+        assert_eq!(decompress(&lz), Err(CodecError::Corrupt("match overrun")));
+    }
+
+    #[test]
+    fn lz_overlapping_matches_decode_like_a_byte_copy() {
+        for dist in 1..=8usize {
+            for len in LZ_MIN_MATCH..=LZ_MAX_MATCH {
+                let prefix: Vec<u8> = (0..dist as u8).map(|b| b.wrapping_mul(37) ^ 0x5a).collect();
+                let mut want = prefix.clone();
+                for k in 0..len {
+                    want.push(want[k]);
+                }
+                let mut c = vec![Codec::Lz.id()];
+                put_varint(&mut c, want.len() as u64);
+                put_literals(&mut c, &prefix);
+                c.push(0x01);
+                put_varint(&mut c, len as u64);
+                put_varint(&mut c, dist as u64);
+                assert_eq!(decompress(&c).unwrap(), want, "dist {dist} len {len}");
+            }
+        }
+    }
+
     #[test]
     fn sniff_reports_codec() {
         assert_eq!(sniff(&compress(Codec::Lz, b"abc")).unwrap(), Codec::Lz);
@@ -359,22 +451,133 @@ mod tests {
         assert!(sniff(&[]).is_err());
     }
 
-    #[test]
-    fn auto_falls_back_to_store_on_random_data() {
-        // Pseudo-random bytes: LZ cannot win.
-        let data: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        let c = compress_auto(&data);
-        assert_eq!(decompress(&c).unwrap(), data);
+    /// The encoder as it was before the ring-buffer chains, word-wise
+    /// compare and early exits: one `usize` chain slot per input byte,
+    /// byte-wise compare, every probe run to the end. The fast encoder
+    /// must emit exactly its tokens.
+    fn lz_compress_reference(data: &[u8], out: &mut Vec<u8>) {
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; data.len()];
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+
+        let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, data: &[u8]| {
+            if to > from {
+                out.push(0x00);
+                put_varint(out, (to - from) as u64);
+                out.extend_from_slice(&data[from..to]);
+            }
+        };
+
+        while i < data.len() {
+            if i + LZ_MIN_MATCH <= data.len() {
+                let h = lz_hash(data, i);
+                let mut cand = head[h];
+                let mut best_len = 0usize;
+                let mut best_dist = 0usize;
+                let mut probes = 0;
+                while cand != usize::MAX && i - cand <= LZ_WINDOW && probes < 32 {
+                    let max = (data.len() - i).min(LZ_MAX_MATCH);
+                    let mut l = 0usize;
+                    while l < max && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                    }
+                    cand = prev[cand];
+                    probes += 1;
+                }
+                prev[i] = head[h];
+                head[h] = i;
+
+                if best_len >= LZ_MIN_MATCH {
+                    flush_literals(out, lit_start, i, data);
+                    out.push(0x01);
+                    put_varint(out, best_len as u64);
+                    put_varint(out, best_dist as u64);
+                    let end = (i + best_len).min(data.len().saturating_sub(LZ_MIN_MATCH - 1));
+                    #[allow(clippy::needless_range_loop)] // j indexes head and prev together
+                    for j in i + 1..end {
+                        let h = lz_hash(data, j);
+                        prev[j] = head[h];
+                        head[h] = j;
+                    }
+                    i += best_len;
+                    lit_start = i;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        flush_literals(out, lit_start, data.len(), data);
     }
 
-    #[test]
-    fn auto_uses_lz_on_text() {
-        let data = text_like(10_000);
-        let c = compress_auto(&data);
-        assert_eq!(sniff(&c).unwrap(), Codec::Lz);
-        assert!(c.len() < data.len());
+    /// `len` bytes of one content class, determined by `seed`: 0 text,
+    /// 1 binary records, 2 random, 3 long runs.
+    fn sample(kind: u8, len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const WORDS: [&str; 12] = [
+            "lib/",
+            "python3.11/",
+            "site-packages/",
+            "numpy/",
+            "core/",
+            "__init__.py",
+            "def ",
+            "return ",
+            "import ",
+            "self",
+            " = ",
+            "\n",
+        ];
+        let mut out = Vec::with_capacity(len + 64);
+        let mut record = 0u64;
+        while out.len() < len {
+            match kind {
+                0 => out.extend_from_slice(WORDS[next() as usize % WORDS.len()].as_bytes()),
+                1 => {
+                    record += 1;
+                    let r = next();
+                    out.extend_from_slice(&record.to_le_bytes());
+                    out.extend_from_slice(&((r % 16) as u32).to_le_bytes());
+                    out.extend_from_slice(&[b'R', b'E', b'C', (r >> 8) as u8 % 4]);
+                    out.extend_from_slice(&(r >> 16).to_le_bytes());
+                }
+                2 => out.extend_from_slice(&next().to_le_bytes()),
+                _ => {
+                    let r = next();
+                    out.resize(out.len() + 1 + (r % 600) as usize, (r >> 32) as u8 % 4);
+                }
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lz_encoder_matches_reference(kind in 0u8..4, len in 0usize..256 * 1024,
+                                        shift in 0usize..8, seed in any::<u64>()) {
+            let data = sample(kind, len >> shift, seed);
+            let mut want = Vec::new();
+            lz_compress_reference(&data, &mut want);
+            let mut got = Vec::new();
+            lz_compress(&data, &mut got);
+            prop_assert!(got == want, "kind {} len {}: encoders differ", kind, data.len());
+            prop_assert_eq!(decompress(&compress(Codec::Lz, &data)).unwrap(), data);
+        }
     }
 
     proptest! {

@@ -1,9 +1,11 @@
 //! SHA-256 (FIPS 180-4).
 //!
 //! Content digests are the backbone of OCI images: layers, manifests and
-//! configs are all addressed by their SHA-256. This is a straightforward
-//! from-scratch implementation of the compression function with incremental
-//! (streaming) hashing.
+//! configs are all addressed by their SHA-256. This is a from-scratch
+//! implementation with incremental (streaming) hashing. The block function
+//! runs on the x86-64 SHA extensions where the CPU has them and in
+//! portable Rust everywhere else; the portable code is also the oracle the
+//! accelerated one is tested against.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -74,6 +76,10 @@ impl Default for Sha256 {
     }
 }
 
+/// A block function: absorbs `blocks` (a whole number of 64-byte
+/// blocks) into `state`.
+type BlockFn = fn(&mut [u32; 8], &[u8]);
+
 impl Sha256 {
     pub fn new() -> Sha256 {
         Sha256 {
@@ -85,7 +91,16 @@ impl Sha256 {
     }
 
     /// Absorb more input.
-    pub fn update(&mut self, mut data: &[u8]) -> &mut Self {
+    pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        self.absorb(data, compress_blocks)
+    }
+
+    /// Finish and produce the digest.
+    pub fn finalize(self) -> Digest {
+        self.finish(compress_blocks)
+    }
+
+    fn absorb(&mut self, mut data: &[u8], block_fn: BlockFn) -> &mut Self {
         self.total_len = self
             .total_len
             .checked_add(data.len() as u64)
@@ -97,40 +112,37 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                block_fn(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("64-byte block"));
-            data = rest;
+        // Every whole block in one call, so the block function's set-up
+        // (and the run-time dispatch) is paid once per update.
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            block_fn(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
         self
     }
 
-    /// Finish and produce the digest.
-    pub fn finalize(mut self) -> Digest {
+    fn finish(mut self, block_fn: BlockFn) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 64-bit big-endian length.
-        let mut pad = [0u8; 128];
-        pad[0] = 0x80;
         let pad_len = if self.buf_len < 56 {
             56 - self.buf_len
         } else {
             120 - self.buf_len
         };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
+        let mut tail = [0u8; 128];
+        tail[0] = 0x80;
+        tail[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         // Bypass total_len bookkeeping for the padding itself.
         let save = self.total_len;
-        self.update(&tail);
+        self.absorb(&tail[..pad_len + 8], block_fn);
         self.total_len = save;
         debug_assert_eq!(self.buf_len, 0);
 
@@ -140,8 +152,27 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The block function every hasher uses: the SHA extensions where the CPU
+/// has them, the portable code everywhere else.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available` checked that the CPU supports every target
+        // feature `shani::compress_blocks` enables.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 compression function in plain Rust: the fallback on
+/// CPUs without the SHA extensions, and the oracle the accelerated path
+/// is tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
@@ -155,7 +186,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -176,14 +207,94 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The block function on the x86-64 SHA extensions (SHA-NI).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress_blocks`] enables.
+    /// The standard library caches the CPUID probe, so this is a load.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Absorb `blocks` (a whole number of 64-byte blocks) into `state`.
+    ///
+    /// The hardware keeps the eight working words as two registers,
+    /// `ABEF` and `CDGH`; the state is shuffled into that layout once per
+    /// call, not once per block.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `ssse3` and `sse4.1` ([`available`]).
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 bytes; unaligned loads have no alignment
+        // requirement.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is 64 bytes, so the four 16-byte unaligned
+            // loads stay inside it.
+            let mut w = unsafe {
+                [
+                    _mm_shuffle_epi8(_mm_loadu_si128(p), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), bswap),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), bswap),
+                ]
+            };
+            // Sixteen groups of four rounds. Group `g` consumes message
+            // words 4g..4g+3 from `w[g % 4]`, then (while words remain to
+            // be scheduled) replaces them with words 4g+16..4g+19.
+            for g in 0..16 {
+                // SAFETY: `K` has 64 words and 4g+3 < 64.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * g).cast()) };
+                let wk = _mm_add_epi32(w[g % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+                if g < 12 {
+                    let s = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+                    let s = _mm_add_epi32(s, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+                    w[g % 4] = _mm_sha256msg2_epu32(s, w[(g + 3) % 4]);
+                }
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgfe);
+        }
     }
 }
 
@@ -265,6 +376,80 @@ mod tests {
                                             b in proptest::collection::vec(any::<u8>(), 0..256)) {
             prop_assume!(a != b);
             prop_assert_ne!(sha256(&a), sha256(&b));
+        }
+    }
+
+    /// Hash `parts` as consecutive `update` calls through `block_fn`.
+    fn digest_with(block_fn: BlockFn, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.absorb(part, block_fn);
+        }
+        h.finish(block_fn)
+    }
+
+    /// The SHA-NI block function, or `None` with a note when this CPU
+    /// lacks the SHA extensions.
+    fn shani_block_fn() -> Option<BlockFn> {
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            // SAFETY: only returned after `available` confirmed the
+            // features the function enables.
+            return Some(|state, blocks| unsafe { shani::compress_blocks(state, blocks) });
+        }
+        eprintln!("note: this CPU lacks the SHA extensions; SHA-NI comparison skipped");
+        None
+    }
+
+    #[test]
+    fn both_block_functions_meet_fips_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        let block_fns: Vec<BlockFn> = std::iter::once(compress_portable as BlockFn)
+            .chain(shani_block_fn())
+            .collect();
+        for block_fn in block_fns {
+            for (msg, want) in vectors {
+                assert_eq!(hexd(&digest_with(block_fn, &[msg])), want);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn shani_matches_portable(data in proptest::collection::vec(any::<u8>(), 0..10 * 1024),
+                                  cuts in proptest::collection::vec(0usize..10 * 1024, 0..8)) {
+            let Some(shani) = shani_block_fn() else {
+                return;
+            };
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            let want = digest_with(compress_portable, &parts);
+            prop_assert_eq!(digest_with(shani, &parts), want);
+            prop_assert_eq!(sha256(&data), want);
         }
     }
 

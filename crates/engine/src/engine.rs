@@ -1333,7 +1333,7 @@ impl Engine {
                     let sif = SifImage::from_bytes(&artifact)?;
                     Arc::new(sif.open_partition()?)
                 } else {
-                    Arc::new(SquashImage::from_bytes(artifact.as_ref().clone())?)
+                    Arc::new(SquashImage::from_bytes(Arc::clone(&artifact))?)
                 };
 
                 // Mount: suid-kernel or FUSE, by capability.

@@ -306,9 +306,7 @@ pub fn eager_pull(
 ) -> Result<hpcc_vfs::squash::SquashImage, LazyError> {
     let (bytes, done) = registry.pull_blob(squash_digest, clock.now())?;
     clock.advance_to(done);
-    Ok(hpcc_vfs::squash::SquashImage::from_bytes(
-        bytes.as_ref().clone(),
-    )?)
+    Ok(hpcc_vfs::squash::SquashImage::from_bytes(bytes)?)
 }
 
 // --------------------------------------------------------------------

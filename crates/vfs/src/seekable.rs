@@ -22,13 +22,17 @@
 use crate::fs::{FileType, MemFs, Meta};
 use crate::path::VPath;
 use crate::squash::SquashError;
-use hpcc_codec::compress::{compress, decompress, Codec, CodecError};
-use hpcc_codec::wire::{put_str, put_varint, Reader};
+use hpcc_codec::compress::{compress, decompress, Codec, CodecError, MAX_EXPANSION};
+use hpcc_codec::wire::{put_str, put_varint, Reader, WireError};
 use hpcc_crypto::sha256::{sha256, Digest};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"HSKI";
+
+/// Smallest serialized [`ChunkRef`]: a 32-byte digest and two one-byte
+/// varints.
+const CHUNK_REF_MIN_BYTES: usize = 34;
 
 /// Chunk granularity used when callers have no reason to pick another:
 /// large enough that the index stays small next to the data, small enough
@@ -197,8 +201,11 @@ impl SeekableIndex {
             let entry = match kind {
                 0 => {
                     let orig_len = r.varint()?;
-                    let count = r.varint()? as usize;
-                    let mut chunks = Vec::with_capacity(count);
+                    let count = r.varint()?;
+                    if count > (r.remaining() / CHUNK_REF_MIN_BYTES) as u64 {
+                        return Err(SquashError::Wire(WireError::BadLength(count)));
+                    }
+                    let mut chunks = Vec::with_capacity(count as usize);
                     for _ in 0..count {
                         let mut digest = [0u8; 32];
                         digest.copy_from_slice(r.take(32)?);
@@ -338,12 +345,22 @@ impl SeekableIndex {
         mut fetch: impl FnMut(&Digest) -> Option<Arc<Vec<u8>>>,
     ) -> Result<Vec<u8>, SquashError> {
         let (orig_len, chunks) = self.file_chunks(path)?;
-        let mut out = Vec::with_capacity(orig_len as usize);
-        for c in chunks {
-            let stored = fetch(&c.digest).ok_or(SquashError::Codec(CodecError::Corrupt(
-                "chunk not resident",
-            )))?;
-            out.extend_from_slice(&decompress(&stored)?);
+        let stored = chunks
+            .iter()
+            .map(|c| {
+                fetch(&c.digest).ok_or(SquashError::Codec(CodecError::Corrupt(
+                    "chunk not resident",
+                )))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // `orig_len` comes from the index: reserve no more than the
+        // fetched chunks can decode to.
+        let decodable = stored.iter().fold(0u64, |n, s| {
+            n.saturating_add((s.len() as u64).saturating_mul(MAX_EXPANSION as u64))
+        });
+        let mut out = Vec::with_capacity(orig_len.min(decodable) as usize);
+        for s in &stored {
+            out.extend_from_slice(&decompress(s)?);
         }
         if out.len() as u64 != orig_len {
             return Err(SquashError::Codec(CodecError::Corrupt(
@@ -518,6 +535,39 @@ mod tests {
             .assemble_file("etc/empty", |d| chunks.get(d).cloned())
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn hostile_chunk_count_is_an_error() {
+        // A file entry whose chunk count (2^60) could never fit in the
+        // bytes that follow it.
+        let mut bytes = MAGIC.to_vec();
+        put_varint(&mut bytes, DEFAULT_CHUNK_SIZE);
+        put_varint(&mut bytes, 1);
+        put_str(&mut bytes, "f");
+        bytes.push(0);
+        put_meta(&mut bytes, &Meta::file());
+        put_varint(&mut bytes, 1);
+        put_varint(&mut bytes, 1 << 60);
+        bytes.extend_from_slice(&[0; 40]);
+        assert_eq!(
+            SeekableIndex::from_bytes(&bytes),
+            Err(SquashError::Wire(WireError::BadLength(1 << 60)))
+        );
+    }
+
+    #[test]
+    fn hostile_file_length_is_an_error() {
+        let (mut index, chunks) = built();
+        if let Some(SeekableEntry::File { orig_len, .. }) = index.entries.get_mut("etc/conf") {
+            *orig_len = 1 << 62;
+        }
+        assert_eq!(
+            index.assemble_file("etc/conf", |d| chunks.get(d).cloned()),
+            Err(SquashError::Codec(CodecError::Corrupt(
+                "reassembled length mismatch"
+            )))
+        );
     }
 
     #[test]

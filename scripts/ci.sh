@@ -3,7 +3,8 @@
 #
 #   build        release build of the workspace
 #   lint         clippy + rustfmt --check + rustdoc (all warnings denied)
-#   test         full test suite
+#   test         full test suite, then the codec and crypto crates again
+#                in release
 #   determinism  chaos suite + golden traces, each run twice with
 #                identical seeds and their printed fingerprints diffed
 #   goldens      checked-in golden traces match the code (staleness)
@@ -112,6 +113,10 @@ stage_lint() {
 stage_test() {
     echo "==> cargo test -q"
     cargo test -q
+    # The data-plane kernels hold unsafe code and index arithmetic whose
+    # overflow checks are compiled out in release builds: test them there.
+    echo "==> cargo test --release -q -p hpcc-codec -p hpcc-crypto"
+    cargo test --release -q -p hpcc-codec -p hpcc-crypto
 }
 
 stage_determinism() {
